@@ -38,10 +38,14 @@ from repro.traversal.engine import (
     TreeView,
     account_grouped_force,
     build_interaction_lists,
-    build_self_pairs,
     evaluate_interaction_lists,
 )
-from repro.traversal.flat import build_flat_lists
+# build_flat_lists stays bound here: hostbench's probe test looks it up
+# on this module.
+from repro.traversal.flat import (  # noqa: F401
+    build_flat_lists,
+    eval_precomputes,
+)
 from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
@@ -274,27 +278,8 @@ def bvh_accelerations_grouped(
     groups = cached["groups"]
     lists = cached["lists"]
 
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    # Per-epoch precomputes live inside the cached entry, so the
-    # maintainer's list invalidation drops them in the same stroke.
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            flat = build_flat_lists(view, lists, groups)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, lists, groups)
-            cached["selfpairs"] = self_pairs
+    mode, flat, self_pairs = eval_precomputes(eval_mode, cached, view,
+                                              lists, groups)
 
     # point_body ids are sorted rows, so the default identity body_ids
     # already matches and the gemm kernel can zero self-interactions.
@@ -373,25 +358,8 @@ def bvh_accelerations_dual(
     groups = cached["groups"]
     dual = cached["dual"]
 
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            flat = build_flat_lists(view, dual.near, groups)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, dual.near, groups)
-            cached["selfpairs"] = self_pairs
+    mode, flat, self_pairs = eval_precomputes(eval_mode, cached, view,
+                                              dual.near, groups)
 
     acc_s, stats = evaluate_dual(
         view, dual, groups, bvh.x_sorted,

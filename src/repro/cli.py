@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
                    choices=["auto", "tile", "gemm", "flat"],
                    help="grouped/dual list-evaluation kernel: per-group "
                         "tiles (tile/gemm) or flattened SoA batch kernels "
-                        "with n3l near-field dedup (flat); auto = flat "
+                        "with n3l near-field dedup (flat); auto = gemm "
                         "for multi-body groups")
     p.add_argument("--cc-mac", type=float, default=1.5, dest="cc_mac",
                    help="dual mode: target-side opening multiplier of the "

@@ -88,12 +88,11 @@ class SimulationConfig:
     #: Tile kernel of the grouped / dual near field: ``"tile"`` (dense
     #: per-group tiles, bit-compatible with the lockstep kernels),
     #: ``"gemm"`` (per-group BLAS), ``"flat"`` (flattened SoA batch
-    #: kernels with Newton's-third-law near-field dedup —
-    #: :mod:`repro.traversal.flat`), or ``"auto"`` (default: tile for
-    #: one-body groups, whose contract is bit-exactness; flat for
-    #: multi-body groups when the structure cache can amortize its
-    #: per-epoch index expansion — always the case inside a
-    #: :class:`Simulation` — and gemm for uncached one-shot calls).
+    #: kernels with Newton's-third-law near-field dedup, opt-in for
+    #: exact momentum conservation — :mod:`repro.traversal.flat`), or
+    #: ``"auto"`` (default: tile for one-body groups, whose contract is
+    #: bit-exactness, gemm otherwise — the fastest on host, rebuild and
+    #: refit alike; see ``resolve_eval_mode``).
     eval_mode: str = "auto"
     #: Dual traversal only: target-side opening multiplier of the
     #: symmetric cell-cell MAC.  A pair is retired far-field when the

@@ -29,12 +29,12 @@ from repro.maintenance.drift import (
     bvh_node_drift,
     displacement,
     group_drift,
-    lists_valid,
     octree_node_drift,
 )
 from repro.maintenance.keycache import KeyCache
 from repro.maintenance.maintainer import TreeMaintainer
 from repro.maintenance.policy import Decision, MaintenancePolicy
+from repro.traversal.engine import lists_valid
 
 __all__ = [
     "DisorderStats",

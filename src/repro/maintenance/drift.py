@@ -1,4 +1,4 @@
-"""Per-node drift bounds and the cached-list validity gate.
+"""Per-node drift bounds behind the cached-list validity gate.
 
 With fixed masses and fixed leaf membership (both invariants of a
 refit), a node's centre of mass is a convex combination of its bodies'
@@ -22,7 +22,9 @@ is refreshed and its longest side can grow by up to twice the node's
 drift, which against the MAC threshold costs ``2 / theta``
 (``size_factor = 2 / theta``).  Displacements are measured against the
 positions the list was *built* at — not the epoch start — so a body
-that wanders off and returns does not poison the gate.
+that wanders off and returns does not poison the gate.  The gate itself
+is :func:`repro.traversal.engine.lists_valid`, next to the lists it
+checks, so the traversal package never imports this one.
 """
 
 from __future__ import annotations
@@ -100,29 +102,3 @@ def group_drift(offsets: np.ndarray, disp_rows: np.ndarray) -> np.ndarray:
         )
         out[nonempty] = red[nonempty]
     return out
-
-
-def lists_valid(
-    lists,
-    grp_drift: np.ndarray,
-    node_drift: np.ndarray,
-    *,
-    size_factor: float,
-) -> bool:
-    """Drift-bounded gate: may the cached lists be reused as-is?
-
-    Checks every *approx* entry against the list's build margin (exact
-    entries enumerate real bodies, whose contributions are evaluated at
-    current positions regardless of drift).
-    """
-    margin = float(lists.mac_margin)
-    approx = lists.approx
-    if not approx.any():
-        return True
-    entry_group = np.repeat(
-        np.arange(lists.offsets.shape[0] - 1), np.diff(lists.offsets)
-    )
-    g = entry_group[approx]
-    v = lists.nodes[approx]
-    slack = grp_drift[g] + node_drift[v] * (1.0 + size_factor)
-    return bool(np.all(slack <= margin))

@@ -38,11 +38,11 @@ from repro.maintenance.drift import (
     bvh_node_drift,
     displacement,
     group_drift,
-    lists_valid,
     octree_node_drift,
 )
 from repro.maintenance.keycache import KeyCache
 from repro.maintenance.policy import Decision, MaintenancePolicy
+from repro.traversal.engine import lists_valid
 from repro.types import FLOAT
 
 #: Steps whose modeled times the auto policy learns from.

@@ -45,10 +45,9 @@ from repro.traversal.engine import (
     TreeView,
     account_grouped_force,
     build_interaction_lists,
-    build_self_pairs,
     evaluate_interaction_lists,
 )
-from repro.traversal.flat import build_flat_lists
+from repro.traversal.flat import eval_precomputes
 from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
@@ -356,31 +355,11 @@ def octree_accelerations_grouped(
     groups = cached["groups"]
     lists = cached["lists"]
 
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    # Per-epoch precomputes live inside the cached entry, so the
-    # maintainer's list invalidation drops them in the same stroke.
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            # Bucket-leaf bodies fold into the flat near-field pools, so
-            # the scalar exact loop below is skipped in this mode.
-            flat = build_flat_lists(view, lists, groups, body_ids=perm,
-                                    exact_bodies=pool.leaf_bodies)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, lists, groups,
-                                          body_ids=perm)
-            cached["selfpairs"] = self_pairs
+    # Bucket-leaf bodies fold into the flat near-field pools, so the
+    # scalar exact loop below is skipped in that mode.
+    mode, flat, self_pairs = eval_precomputes(
+        eval_mode, cached, view, lists, groups, body_ids=perm,
+        exact_bodies=pool.leaf_bodies)
 
     m_sorted = np.asarray(m, dtype=FLOAT)[perm]
     acc_s, stats = evaluate_interaction_lists(
@@ -487,28 +466,9 @@ def octree_accelerations_dual(
     groups = cached["groups"]
     dual = cached["dual"]
 
-    mode = eval_mode
-    if mode == "auto":
-        # Flat's index expansion is a per-epoch precompute: pick it
-        # only when a structure cache amortizes it, gemm otherwise.
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if cache is not None else "gemm"
-    flat = self_pairs = None
-    if mode == "flat":
-        flat = cached.get("flat")
-        if flat is None:
-            flat = build_flat_lists(view, dual.near, groups,
-                                    body_ids=perm,
-                                    exact_bodies=pool.leaf_bodies)
-            cached["flat"] = flat
-    elif mode == "gemm":
-        self_pairs = cached.get("selfpairs")
-        if self_pairs is None:
-            self_pairs = build_self_pairs(view, dual.near, groups,
-                                          body_ids=perm)
-            cached["selfpairs"] = self_pairs
+    mode, flat, self_pairs = eval_precomputes(
+        eval_mode, cached, view, dual.near, groups, body_ids=perm,
+        exact_bodies=pool.leaf_bodies)
 
     m_sorted = np.asarray(m, dtype=FLOAT)[perm]
     acc_s, stats = evaluate_dual(

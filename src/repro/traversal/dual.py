@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.bvh.layout import BVHLayout, next_pow2
 from repro.machine.counters import Counters
-from repro.maintenance.drift import lists_valid
 from repro.physics.local_expansion import (
     LocalExpansion,
     expansion_words,
@@ -76,6 +75,7 @@ from repro.traversal.engine import (
     aabb_dmin2,
     account_grouped_force,
     evaluate_interaction_lists,
+    lists_valid,
     mac_threshold2,
 )
 from repro.traversal.groups import BodyGroups

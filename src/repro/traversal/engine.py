@@ -43,12 +43,16 @@ tile.  Two tile kernels are provided:
   self-interactions (a body's own leaf in the list) are explicitly
   zeroed because the expanded form would otherwise difference two huge
   near-equal products.  Self-pair positions are precomputed once per
-  list epoch (:func:`build_self_pairs`), not rebuilt every step.
+  list epoch (:func:`build_self_pairs`), not rebuilt every step.  This
+  is the production host path for real groups (the ``auto`` default).
 * ``flat`` — :mod:`repro.traversal.flat`: the lists of *all* groups
-  are expanded into flat SoA index arrays once per epoch and evaluated
-  as a few large gather/scatter kernels with the symmetric near field
-  deduped Newton's-third-law style.  This is the production host path
-  for real groups (the ``auto`` default).
+  are expanded into flat SoA index arrays and evaluated as a few large
+  gather/scatter kernels with the symmetric near field deduped Newton's
+  third-law style.  Opt-in only: it conserves momentum exactly, but
+  measured on host it is slower than gemm even when the expansion is
+  reused across a refit epoch.
+
+:func:`resolve_eval_mode` is the one place ``"auto"`` is decided.
 """
 
 from __future__ import annotations
@@ -170,6 +174,48 @@ class InteractionLists:
         """Directly-interacting leaf nodes of group *g*."""
         sl = self.group_entries(g)
         return self.nodes[sl][~self.approx[sl]]
+
+
+def lists_valid(
+    lists: InteractionLists,
+    grp_drift: np.ndarray,
+    node_drift: np.ndarray,
+    *,
+    size_factor: float,
+) -> bool:
+    """Drift-bounded gate: may the cached lists be reused as-is?
+
+    Checks every *approx* entry against the list's build margin (exact
+    entries enumerate real bodies, whose contributions are evaluated at
+    current positions regardless of drift); see
+    :mod:`repro.maintenance.drift` for the bound.
+    """
+    margin = float(lists.mac_margin)
+    approx = lists.approx
+    if not approx.any():
+        return True
+    entry_group = np.repeat(
+        np.arange(lists.offsets.shape[0] - 1), np.diff(lists.offsets)
+    )
+    g = entry_group[approx]
+    v = lists.nodes[approx]
+    slack = grp_drift[g] + node_drift[v] * (1.0 + size_factor)
+    return bool(np.all(slack <= margin))
+
+
+def resolve_eval_mode(eval_mode: str, groups: BodyGroups) -> str:
+    """The near-field evaluator *eval_mode* selects for *groups*.
+
+    ``"auto"`` is ``"tile"`` for one-body groups, whose contract is bit
+    equality with the lockstep kernels, and ``"gemm"`` otherwise: gemm
+    is the fastest evaluator on host in every configuration measured,
+    rebuild and refit alike.  ``"flat"`` runs only when asked for.
+    """
+    if eval_mode == "auto":
+        return "tile" if groups.max_group_size <= 1 else "gemm"
+    if eval_mode not in ("tile", "gemm", "flat"):
+        raise ValueError(f"unknown eval mode {eval_mode!r}")
+    return eval_mode
 
 
 def build_interaction_lists(
@@ -353,26 +399,16 @@ def evaluate_interaction_lists(
     (identity when omitted); ``mode`` is ``"tile"`` (bit-compatible
     sequential reduction), ``"gemm"`` (BLAS), ``"flat"`` (flattened
     SoA batch kernels with n3l near-field dedup — see
-    :mod:`repro.traversal.flat`), or ``"auto"`` (tile only for the
-    degenerate one-body groups whose contract is exactness, flat
-    otherwise).  *flat* / *self_pairs* are the per-epoch precomputes
-    (built on the fly when omitted — callers with a structure cache
-    should pass them); *m_sorted* (masses in sorted-row order) enables
-    the n3l dedup in flat mode.
+    :mod:`repro.traversal.flat`), or ``"auto"``
+    (:func:`resolve_eval_mode`).  *flat* / *self_pairs* are the
+    per-epoch precomputes (built on the fly when omitted — callers with
+    a structure cache should pass them); *m_sorted* (masses in
+    sorted-row order) enables the n3l dedup in flat mode.
     """
     x_sorted = np.asarray(x_sorted, dtype=FLOAT)
     n, dim = x_sorted.shape
     acc = np.zeros((n, dim), dtype=FLOAT)
-    if mode == "auto":
-        # Flat only pays when its one-time index expansion is amortized
-        # across an epoch: pick it when the caller hands in a cached
-        # FlatLists, gemm otherwise (tile for degenerate groups).
-        if groups.max_group_size <= 1:
-            mode = "tile"
-        else:
-            mode = "flat" if flat is not None else "gemm"
-    if mode not in ("tile", "gemm", "flat"):
-        raise ValueError(f"unknown eval mode {mode!r}")
+    mode = resolve_eval_mode(mode, groups)
 
     if mode == "flat":
         # Deferred import: flat builds on the engine's data structures.
@@ -398,22 +434,25 @@ def evaluate_interaction_lists(
     off_l = off.tolist()
     go_l = go.tolist()
 
-    if mode == "gemm" and self_pairs is None:
-        self_pairs = build_self_pairs(view, lists, groups,
-                                      body_ids=body_ids)
-
+    # Scratch pools sized for the largest tile, reused across groups;
+    # flat (b*k) slices keep every view contiguous.
+    cap = groups.max_group_size * int(np.diff(off).max(initial=0))
+    r2pool = np.empty(cap, dtype=FLOAT)
+    wpool = np.empty(cap, dtype=FLOAT)
+    mpool = np.empty(cap, dtype=bool)
     if mode == "tile":
-        # Scratch pools sized for the largest tile, reused across
-        # groups; flat (b*k) slices keep every view contiguous.
-        bmax = groups.max_group_size
-        kmax = int(np.diff(off).max(initial=0))
-        cap = bmax * kmax
         dpool = np.empty((cap, dim), dtype=FLOAT)
         opool = np.empty((cap, dim), dtype=FLOAT)
-        r2pool = np.empty(cap, dtype=FLOAT)
         cpool = np.empty(cap, dtype=FLOAT)
-        wpool = np.empty(cap, dtype=FLOAT)
-        mpool = np.empty(cap, dtype=bool)
+    else:
+        if self_pairs is None:
+            self_pairs = build_self_pairs(view, lists, groups,
+                                          body_ids=body_ids)
+        sp_off = self_pairs.offsets.tolist()
+        # Per-call, not per-group: row/node norms and G*mass.
+        x2_all = np.einsum("ij,ij->i", x_sorted, x_sorted)
+        c2_all = np.einsum("ij,ij->i", com, com)
+        gm_all = G * mass
 
     for g in range(ng):
         lo_e, hi_e = off_l[g], off_l[g + 1]
@@ -423,11 +462,12 @@ def evaluate_interaction_lists(
         r0, r1 = go_l[g], go_l[g + 1]
         xg = x_sorted[r0:r1]
         b, k = r1 - r0, hi_e - lo_e
+        bk = b * k
         cn = com[nodes]
-        mn = mass[nodes]
+        msk = mpool[:bk].reshape(b, k)
 
         if mode == "tile":
-            bk = b * k
+            mn = mass[nodes]
             dvec = np.subtract(cn[None, :, :], xg[:, None, :],
                                out=dpool[:bk].reshape(b, k, dim))
             r2 = np.einsum("ij,ij->i", dpool[:bk], dpool[:bk],
@@ -436,8 +476,8 @@ def evaluate_interaction_lists(
             with np.errstate(divide="ignore", invalid="ignore"):
                 w = np.power(r2c, -1.5, out=wpool[:bk].reshape(b, k))
                 np.multiply(G * mn, w, out=w)
-            np.less_equal(r2c, 0.0, out=mpool[:bk].reshape(b, k))
-            np.copyto(w, 0.0, where=mpool[:bk].reshape(b, k))
+            np.less_equal(r2c, 0.0, out=msk)
+            np.copyto(w, 0.0, where=msk)
             contrib = np.multiply(w[:, :, None], dvec,
                                   out=opool[:bk].reshape(b, k, dim))
             if quad is not None:
@@ -457,17 +497,27 @@ def evaluate_interaction_lists(
             # sequentially — the same order as the lockstep rounds.
             np.sum(contrib, axis=1, out=acc[r0:r1])
         else:
-            x2 = np.einsum("ij,ij->i", xg, xg)
-            c2 = np.einsum("ij,ij->i", cn, cn)
-            r2 = x2[:, None] + c2[None, :] - 2.0 * (xg @ cn.T)
-            np.maximum(r2, 0.0, out=r2)  # cancellation can go negative
-            r2c = r2 + eps2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(r2c > 0.0, G * mn * r2c ** -1.5, 0.0)
-            sp0, sp1 = int(self_pairs.offsets[g]), int(
-                self_pairs.offsets[g + 1])
+            # r2 = (|x|^2 + |c|^2) - 2 x.c, clamped: cancellation can
+            # go negative.  With eps2 > 0 every r2 + eps2 is positive,
+            # so only the unsoftened kernel needs the r2 <= 0 mask.
+            xc = np.matmul(xg, cn.T, out=r2pool[:bk].reshape(b, k))
+            xc *= 2.0
+            w = np.add(x2_all[r0:r1, None], c2_all[nodes][None, :],
+                       out=wpool[:bk].reshape(b, k))
+            w -= xc
+            np.maximum(w, 0.0, out=w)
+            w += eps2
+            if eps2 <= 0.0:
+                np.less_equal(w, 0.0, out=msk)
+            with np.errstate(divide="ignore"):
+                np.power(w, -1.5, out=w)
+            if eps2 <= 0.0:
+                np.copyto(w, 0.0, where=msk)
+            w *= gm_all[nodes]
+            sp0, sp1 = sp_off[g], sp_off[g + 1]
             w[self_pairs.rows[sp0:sp1], self_pairs.cols[sp0:sp1]] = 0.0
-            acc_g = w @ cn - w.sum(axis=1)[:, None] * xg
+            acc_g = np.matmul(w, cn, out=acc[r0:r1])
+            acc_g -= w.sum(axis=1)[:, None] * xg
             if quad is not None:
                 ap = lists.approx[lo_e:hi_e]
                 kq = int(np.count_nonzero(ap))
@@ -482,7 +532,6 @@ def evaluate_interaction_lists(
                         b, kq, dim
                     ).sum(axis=1)
                     quad_terms += b * kq
-            acc[r0:r1] = acc_g
 
         pairs += b * k
         nonzero += int(np.count_nonzero(w))

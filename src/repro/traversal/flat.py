@@ -53,7 +53,13 @@ from typing import Callable
 import numpy as np
 
 from repro.physics.multipole import quadrupole_accel
-from repro.traversal.engine import InteractionLists, TreeView
+from repro.traversal.engine import (
+    InteractionLists,
+    SelfPairs,
+    TreeView,
+    build_self_pairs,
+    resolve_eval_mode,
+)
 from repro.traversal.groups import BodyGroups
 from repro.types import FLOAT, INDEX
 
@@ -439,6 +445,38 @@ def build_flat_lists(
     )
 
 
+def eval_precomputes(
+    eval_mode: str,
+    cached: dict,
+    view: TreeView,
+    lists: InteractionLists,
+    groups: BodyGroups,
+    *,
+    body_ids: np.ndarray | None = None,
+    exact_bodies: Callable[[int], np.ndarray] | None = None,
+) -> tuple[str, FlatLists | None, SelfPairs | None]:
+    """Resolve *eval_mode* and fetch its per-epoch precompute.
+
+    Returns ``(mode, flat, self_pairs)``.  The precompute lives inside
+    the structure-cache entry *cached*, so the maintainer's list
+    invalidation drops it in the same stroke as the lists.
+    """
+    mode = resolve_eval_mode(eval_mode, groups)
+    flat = self_pairs = None
+    if mode == "flat":
+        flat = cached.get("flat")
+        if flat is None:
+            flat = cached["flat"] = build_flat_lists(
+                view, lists, groups, body_ids=body_ids,
+                exact_bodies=exact_bodies)
+    elif mode == "gemm":
+        self_pairs = cached.get("selfpairs")
+        if self_pairs is None:
+            self_pairs = cached["selfpairs"] = build_self_pairs(
+                view, lists, groups, body_ids=body_ids)
+    return mode, flat, self_pairs
+
+
 def evaluate_flat(
     view: TreeView,
     flat: FlatLists,
@@ -553,9 +591,12 @@ def evaluate_flat(
                     if msk is not None:
                         np.less_equal(Pg, 0.0, out=msk[:g])
                     np.power(Pg, -1.5, out=Pg)
-                Pg *= MN[:g, None, :]
+                # Masked weights are zeroed before the mass multiply: a
+                # zero-mass leaf at r2 = 0 would otherwise form inf * 0.
                 if msk is not None:
                     np.copyto(Pg, 0.0, where=msk[:g])
+                Pg *= MN[:g, None, :]
+                if msk is not None:
                     nonzero += int(np.count_nonzero(Pg))
                 np.matmul(Pg, Cg, out=Fg)
                 np.einsum("gbk->gb", Pg, out=x2[:g])  # w row-sums
@@ -585,13 +626,13 @@ def evaluate_flat(
             np.take(gm, nodes, out=mb[:b])
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.power(r2b, -1.5, out=wb)
-            wb *= mb[:b]
             if softened:
                 nonzero += b
             else:
                 np.less_equal(r2b, 0.0, out=mask[:b])
                 np.copyto(wb, 0.0, where=mask[:b])
                 nonzero += b - int(np.count_nonzero(mask[:b]))
+            wb *= mb[:b]
             qa = None
             qsel: slice | np.ndarray = slice(None)
             if quad is not None:
@@ -660,13 +701,13 @@ def evaluate_flat(
             np.take(gms, si, out=mb[:b])
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.power(r2b, -1.5, out=wb)
-            wb *= mb[:b]
             if softened:
                 nonzero += b
             else:
                 np.less_equal(r2b, 0.0, out=mask[:b])
                 np.copyto(wb, 0.0, where=mask[:b])
                 nonzero += b - int(np.count_nonzero(mask[:b]))
+            wb *= mb[:b]
             db *= wb[:, None]
             _segment_add(acc, db, s0, flat.o_segs)
 

@@ -116,17 +116,18 @@ class TestFlatMatchesTile:
         assert relative_l2_error(flat, tile) < RTOL
 
     def test_auto_mode_selection(self, small_cloud, soft_gravity):
-        """auto = tile for singleton groups, flat for cached multi-body
-        groups, gemm for uncached one-shot calls."""
+        """auto = tile for singleton groups, gemm for multi-body groups,
+        cached or not; flat runs only when asked for."""
         bvh = build_bvh(small_cloud.x, small_cloud.m)
         cache: dict = {}
         auto = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
                                          eval_mode="auto", cache=cache)
         (entry,) = cache.values()
-        assert "flat" in entry  # cached multi-body groups pick flat
-        flat = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
-                                         eval_mode="flat")
-        assert np.array_equal(auto, flat)
+        assert "flat" not in entry  # cached multi-body groups pick gemm
+        cached_gemm = bvh_accelerations_grouped(bvh, soft_gravity,
+                                                group_size=16,
+                                                eval_mode="gemm", cache={})
+        assert np.array_equal(auto, cached_gemm)
         uncached = bvh_accelerations_grouped(bvh, soft_gravity,
                                              group_size=16, eval_mode="auto")
         gemm = bvh_accelerations_grouped(bvh, soft_gravity, group_size=16,
