@@ -31,22 +31,16 @@ from repro.physics.multipole import (
     QUAD_EXTRA_FLOPS,
     quadrupole_accel,
 )
+from repro.traversal.driver import tree_accelerations
 from repro.traversal.engine import (
     KLASS_INTERNAL,
     KLASS_POINT,
     KLASS_SKIP,
     TreeView,
-    account_grouped_force,
-    build_interaction_lists,
-    evaluate_interaction_lists,
 )
 # build_flat_lists stays bound here: hostbench's probe test looks it up
 # on this module.
-from repro.traversal.flat import (  # noqa: F401
-    build_flat_lists,
-    eval_precomputes,
-)
-from repro.traversal.groups import make_groups
+from repro.traversal.flat import build_flat_lists  # noqa: F401
 from repro.types import FLOAT, INDEX
 
 #: Bytes per node visit: bbox (2 * dim * 8) + com (dim * 8) + mass (8);
@@ -227,6 +221,7 @@ def _bvh_tree_view(bvh: BVH) -> TreeView:
         dfs_rank=bvh_dfs_ranks(layout.n_leaves),
         quad=bvh.quad,
         visit_bytes=_visit_bytes(dim),
+        flops_per_visit=10.0,
     )
 
 
@@ -235,152 +230,33 @@ def _bvh_tree_view(bvh: BVH) -> TreeView:
 bvh_tree_view = _bvh_tree_view
 
 
-def bvh_accelerations_grouped(
-    bvh: BVH,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
+def bvh_driver_args(bvh: BVH) -> dict:
+    """The force driver's tree arguments for *bvh*: its view and the
+    bodies, already in Hilbert (leaf) order."""
+    return dict(view=bvh_tree_view(bvh), x=bvh.x_sorted, m=bvh.m_sorted,
+                order=bvh.perm)
+
+
+def bvh_accelerations_grouped(bvh: BVH,
+                              params: GravityParams = GravityParams(),
+                              **kw) -> np.ndarray:
     """BVH accelerations via group-coherent traversal.
 
     The BVH's leaf order *is* the Hilbert order, so contiguous groups of
-    sorted bodies are leaf-aligned by construction.  The stackless walk
-    runs once per group with the conservative group MAC; the emitted
-    interaction lists are evaluated as dense tiles and, when *cache* (a
-    structure-cache entry dict) is given, reused across timesteps for as
-    long as the cached sort permutation is.
-
-    At ``group_size=1`` (monopole order) the result is bit-identical to
+    sorted bodies are leaf-aligned by construction.  *kw* are the
+    keywords of :func:`~repro.traversal.driver.tree_accelerations`.  At
+    ``group_size=1`` (monopole order) the result is bit-identical to
     :func:`bvh_accelerations`.
     """
-    n = bvh.n_bodies
-    dim = bvh.x_sorted.shape[1]
-    if n == 0:
-        return np.zeros((0, dim), dtype=FLOAT)
-
-    key = ("ilists", float(theta), int(group_size))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["groups"].n_bodies != n
-    view = _bvh_tree_view(bvh)
-    if built:
-        groups = make_groups(bvh.x_sorted, group_size)
-        lists = build_interaction_lists(view, groups, theta,
-                                        mac_margin=mac_margin)
-        cached = {"groups": groups, "lists": lists}
-        if cache is not None:
-            cache[key] = cached
-    groups = cached["groups"]
-    lists = cached["lists"]
-
-    mode, flat, self_pairs = eval_precomputes(eval_mode, cached, view,
-                                              lists, groups)
-
-    # point_body ids are sorted rows, so the default identity body_ids
-    # already matches and the gemm kernel can zero self-interactions.
-    acc_s, stats = evaluate_interaction_lists(
-        view, lists, groups, bvh.x_sorted,
-        G=params.G, eps2=params.eps2, mode=mode,
-        flat=flat, m_sorted=bvh.m_sorted, self_pairs=self_pairs,
-    )
-
-    if ctx is not None:
-        account_grouped_force(
-            ctx.counters, lists, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=stats["pairs"], quad_terms=stats["quad_terms"],
-            visit_bytes=view.visit_bytes, built=built,
-            flops_per_visit=10.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[bvh.perm] = acc_s
-    return out
+    return tree_accelerations(**bvh_driver_args(bvh), params=params,
+                              traversal="grouped", **kw)
 
 
-def bvh_accelerations_dual(
-    bvh: BVH,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    cc_mac: float = 1.5,
-    expansion_order: int = 2,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
-    """BVH accelerations via the dual-tree cell-cell traversal.
-
-    The leaf-aligned Hilbert groups become a balanced target tree; the
-    simultaneous walk of :mod:`repro.traversal.dual` retires
-    well-separated cell pairs once through M2L + downsweep and defers
-    the near field to the grouped tile kernels.  ``cc_mac=0`` disables
-    the cell-cell branch and is bit-identical to the grouped mode.
+def bvh_accelerations_dual(bvh: BVH, params: GravityParams = GravityParams(),
+                           **kw) -> np.ndarray:
+    """BVH accelerations via the dual-tree cell-cell traversal
+    (:mod:`repro.traversal.dual`) over the same leaf-aligned groups.
+    ``cc_mac=0`` is bit-identical to the grouped mode.
     """
-    # Imported here, not at module top: repro.traversal.dual imports
-    # this package's layout module, re-entering bvh/__init__.
-    from repro.traversal.dual import (
-        account_dual_force,
-        build_dual_lists,
-        build_target_tree,
-        evaluate_dual,
-    )
-
-    n = bvh.n_bodies
-    dim = bvh.x_sorted.shape[1]
-    if n == 0:
-        return np.zeros((0, dim), dtype=FLOAT)
-
-    key = ("dlists", float(theta), int(group_size), float(cc_mac),
-           int(expansion_order))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["groups"].n_bodies != n
-    view = _bvh_tree_view(bvh)
-    if built:
-        groups = make_groups(bvh.x_sorted, group_size)
-        tt = build_target_tree(groups)
-        dual = build_dual_lists(view, tt, theta, cc_mac=cc_mac,
-                                mac_margin=mac_margin)
-        cached = {"groups": groups, "dual": dual, "lists": dual.near}
-        if cache is not None:
-            cache[key] = cached
-    groups = cached["groups"]
-    dual = cached["dual"]
-
-    mode, flat, self_pairs = eval_precomputes(eval_mode, cached, view,
-                                              dual.near, groups)
-
-    acc_s, stats = evaluate_dual(
-        view, dual, groups, bvh.x_sorted,
-        G=params.G, eps2=params.eps2, mode=mode,
-        expansion_order=expansion_order, ctx=ctx,
-        flat=flat, m_sorted=bvh.m_sorted, self_pairs=self_pairs,
-    )
-
-    if ctx is not None:
-        account_dual_force(
-            ctx.counters, dual, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=stats["pairs"], quad_terms=stats["quad_terms"],
-            quad_far=stats["quad_far"], expansion_order=expansion_order,
-            visit_bytes=view.visit_bytes, built=built,
-            flops_per_visit=10.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[bvh.perm] = acc_s
-    return out
+    return tree_accelerations(**bvh_driver_args(bvh), params=params,
+                              traversal="dual", **kw)

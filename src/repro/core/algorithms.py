@@ -29,6 +29,7 @@ from repro.stdpar.algorithms import transform_reduce
 from repro.stdpar.context import ExecutionContext
 from repro.stdpar.policy import par, par_unseq
 from repro.stdpar.progress import ForwardProgress
+from repro.traversal.driver import config_settings, tree_accelerations
 
 
 class ForceAlgorithm(ABC):
@@ -64,8 +65,14 @@ class ForceAlgorithm(ABC):
         """Accelerations of all bodies at the current positions.
 
         *cache*, when provided by the caller (one dict per simulation),
-        lets tree algorithms reuse structure across timesteps
-        (``config.tree_reuse_steps``); stateless algorithms ignore it.
+        lets tree algorithms keep state across timesteps: the tree
+        structure while it is reused (``config.tree_reuse_steps``, or
+        across a refit epoch under ``config.tree_update``), and inside
+        the structure's entry the grouped/dual interaction lists with
+        their per-epoch eval precomputes (format owned by
+        :mod:`repro.traversal.driver`), which expire with it.  A
+        ``"_shared"`` entry makes the lookup content-addressed across
+        sessions.  Stateless algorithms ignore it.
         """
 
     # ------------------------------------------------------------------
@@ -154,11 +161,7 @@ class OctreeAlgorithm(ForceAlgorithm):
     def accelerations(self, system, config, ctx, cache=None):
         from repro.octree.build_concurrent import build_octree_concurrent
         from repro.octree.build_vectorized import build_octree_vectorized
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
+        from repro.octree.force import octree_accelerations, octree_driver_args
         from repro.octree.multipoles import (
             compute_multipoles_concurrent,
             compute_multipoles_vectorized,
@@ -205,28 +208,16 @@ class OctreeAlgorithm(ForceAlgorithm):
                                                   order=config.multipole_order)
             _mark_moments_ready(entry)
         with ctx.step("force"):
-            if config.traversal == "dual":
-                acc = octree_accelerations_dual(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    cc_mac=config.cc_mac,
-                    expansion_order=config.expansion_order,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            elif config.traversal == "grouped":
-                acc = octree_accelerations_grouped(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            else:
+            if config.traversal == "lockstep":
                 acc = octree_accelerations(
                     pool, system.x, system.m, config.gravity,
                     theta=config.theta, ctx=ctx, simt_width=config.simt_width,
+                )
+            else:
+                acc = tree_accelerations(
+                    **octree_driver_args(pool, system.x, system.m),
+                    **config_settings(config), ctx=ctx, cache=entry,
+                    mac_margin=maint.mac_margin if maint is not None else 0.0,
                 )
         if maint is not None:
             maint.finish_step(system.x)
@@ -243,11 +234,7 @@ class BVHAlgorithm(ForceAlgorithm):
 
     def accelerations(self, system, config, ctx, cache=None):
         from repro.bvh.build import assemble_bvh, hilbert_sort_permutation
-        from repro.bvh.force import (
-            bvh_accelerations,
-            bvh_accelerations_dual,
-            bvh_accelerations_grouped,
-        )
+        from repro.bvh.force import bvh_accelerations, bvh_driver_args
 
         maint = None
         if config.tree_update != "rebuild":
@@ -281,28 +268,16 @@ class BVHAlgorithm(ForceAlgorithm):
                 if entry is not None and entry.get("exact"):
                     entry["bvh"] = bvh
         with ctx.step("force"):
-            if config.traversal == "dual":
-                acc = bvh_accelerations_dual(
-                    bvh, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    cc_mac=config.cc_mac,
-                    expansion_order=config.expansion_order,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            elif config.traversal == "grouped":
-                acc = bvh_accelerations_grouped(
-                    bvh, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            else:
+            if config.traversal == "lockstep":
                 acc = bvh_accelerations(
                     bvh, config.gravity,
                     theta=config.theta, ctx=ctx, simt_width=config.simt_width,
+                )
+            else:
+                acc = tree_accelerations(
+                    **bvh_driver_args(bvh), **config_settings(config),
+                    ctx=ctx, cache=entry,
+                    mac_margin=maint.mac_margin if maint is not None else 0.0,
                 )
         if maint is not None:
             maint.finish_step(system.x)
@@ -326,11 +301,7 @@ class TwoStageOctreeAlgorithm(ForceAlgorithm):
 
     def accelerations(self, system, config, ctx, cache=None):
         from repro.octree.build_twostage import build_octree_twostage
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
+        from repro.octree.force import octree_accelerations, octree_driver_args
         from repro.octree.multipoles import compute_multipoles_vectorized
 
         def build(box):
@@ -362,28 +333,16 @@ class TwoStageOctreeAlgorithm(ForceAlgorithm):
                 )
             _mark_moments_ready(entry)
         with ctx.step("force"):
-            if config.traversal == "dual":
-                acc = octree_accelerations_dual(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    cc_mac=config.cc_mac,
-                    expansion_order=config.expansion_order,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            elif config.traversal == "grouped":
-                acc = octree_accelerations_grouped(
-                    pool, system.x, system.m, config.gravity,
-                    theta=config.theta, group_size=config.group_size,
-                    ctx=ctx, simt_width=config.simt_width, cache=entry,
-                    mac_margin=maint.mac_margin if maint is not None else 0.0,
-                    eval_mode=config.eval_mode,
-                )
-            else:
+            if config.traversal == "lockstep":
                 acc = octree_accelerations(
                     pool, system.x, system.m, config.gravity,
                     theta=config.theta, ctx=ctx, simt_width=config.simt_width,
+                )
+            else:
+                acc = tree_accelerations(
+                    **octree_driver_args(pool, system.x, system.m),
+                    **config_settings(config), ctx=ctx, cache=entry,
+                    mac_margin=maint.mac_margin if maint is not None else 0.0,
                 )
         if maint is not None:
             maint.finish_step(system.x)

@@ -50,6 +50,12 @@ import numpy as np
 from repro.geometry.aabb import compute_bounding_box
 from repro.physics.bodies import BodySystem
 from repro.stdpar.context import ExecutionContext
+from repro.traversal.driver import (
+    config_settings,
+    key_settings,
+    list_key,
+    tree_accelerations,
+)
 from repro.types import FLOAT, INDEX
 
 #: Version tag of the runtime-state payload inside checkpoint headers.
@@ -85,12 +91,10 @@ def capture_runtime_state(sim) -> dict | None:
             cached = maint.entry.get(key)
             if cached is None or cached.get("lists") is not cached_lists:
                 continue  # dropped after its last snapshot: nothing live
-            margin = (float(cached["dual"].mac_margin)
-                      if key[0] == "dlists"
-                      else float(cached["lists"].mac_margin))
             lists.append({
                 "key": list(key),
-                "margin": margin,
+                # A dual entry's near lists carry the walk's margin too.
+                "margin": float(cached_lists.mac_margin),
                 "x": np.asarray(snap_x, dtype=FLOAT),
             })
         state["maint"] = {
@@ -241,51 +245,25 @@ def _build_epoch_pool(sim, x_ref: np.ndarray, scratch):
                                    ctx=scratch)
 
 
-def _decode_list_key(raw: list) -> tuple:
-    if raw[0] == "dlists":
-        return ("dlists", float(raw[1]), int(raw[2]), float(raw[3]),
-                int(raw[4]))
-    return ("ilists", float(raw[1]), int(raw[2]))
-
-
 def _warm_cached_lists(sim, maint, item: dict, m: np.ndarray, scratch) -> None:
     """Re-run the list build at the captured snapshot and margin.
 
-    The grouped/dual force entry points are invoked verbatim on the
-    epoch structure refit to the snapshot positions, so the lists (and
-    their flat/self-pair precomputes) come out of the same code path —
-    and therefore the same bytes — as the originals.  The evaluation
-    result is discarded; the work is charged to the scratch context.
+    The force driver runs verbatim on the epoch structure refit to the
+    snapshot positions, so the lists (and their flat/self-pair
+    precomputes) come out of the same code path — and therefore the
+    same bytes — as the originals.  The evaluation result is discarded;
+    the work is charged to the scratch context.
     """
-    key = _decode_list_key(item["key"])
+    settings = key_settings(item["key"])
     snap_x = np.asarray(item["x"], dtype=FLOAT)
-    margin = float(item["margin"])
     config = sim.config
-    common = dict(ctx=scratch, simt_width=config.simt_width,
-                  cache=maint.entry, eval_mode=config.eval_mode,
-                  mac_margin=margin)
-
     if maint._bvh is not None:
         from repro.bvh.build import refit_bvh
-        from repro.bvh.force import (
-            bvh_accelerations_dual,
-            bvh_accelerations_grouped,
-        )
+        from repro.bvh.force import bvh_driver_args
 
-        geom = refit_bvh(maint._bvh, snap_x, ctx=scratch)
-        if key[0] == "dlists":
-            bvh_accelerations_dual(
-                geom, config.gravity, theta=key[1], group_size=key[2],
-                cc_mac=key[3], expansion_order=key[4], **common)
-        else:
-            bvh_accelerations_grouped(
-                geom, config.gravity, theta=key[1], group_size=key[2],
-                **common)
+        tree = bvh_driver_args(refit_bvh(maint._bvh, snap_x, ctx=scratch))
     else:
-        from repro.octree.force import (
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
+        from repro.octree.force import octree_driver_args
         from repro.octree.multipoles import compute_multipoles_vectorized
 
         # The octree's structure is static across an epoch but the
@@ -293,16 +271,12 @@ def _warm_cached_lists(sim, maint, item: dict, m: np.ndarray, scratch) -> None:
         # refreshes at current positions every step — replay that.
         compute_multipoles_vectorized(maint._pool, snap_x, m, scratch,
                                       order=config.multipole_order)
-        if key[0] == "dlists":
-            octree_accelerations_dual(
-                maint._pool, snap_x, m, config.gravity,
-                theta=key[1], group_size=key[2],
-                cc_mac=key[3], expansion_order=key[4], **common)
-        else:
-            octree_accelerations_grouped(
-                maint._pool, snap_x, m, config.gravity,
-                theta=key[1], group_size=key[2], **common)
+        tree = octree_driver_args(maint._pool, snap_x, m)
+    tree_accelerations(**tree, **{**config_settings(config), **settings},
+                       ctx=scratch, cache=maint.entry,
+                       mac_margin=float(item["margin"]))
 
+    key = list_key(**settings)
     cached = maint.entry.get(key)
     if cached is not None:
         maint._list_state[key] = (cached["lists"], snap_x.copy())

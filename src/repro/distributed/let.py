@@ -32,11 +32,12 @@ from typing import Callable
 import numpy as np
 
 from repro.physics.multipole import quadrupole_accel
+from repro.traversal.driver import build_lists, evaluate_lists, near_lists
+from repro.traversal.dual import DualLists
 from repro.traversal.engine import (
     InteractionLists,
     TreeView,
     build_interaction_lists,
-    evaluate_interaction_lists,
 )
 from repro.traversal.groups import BodyGroups
 from repro.types import FLOAT, INDEX
@@ -128,27 +129,6 @@ def build_let_plan(
     return LETPlan(src, dests, visited, emitted, n_bytes)
 
 
-@dataclass
-class RemoteEvalStats:
-    """Accounting of one cross-rank force contribution."""
-
-    lists: InteractionLists
-    pairs: int
-    quad_terms: int
-    #: Dual-traversal remote evaluations carry their DualLists here
-    #: (None for grouped); the runtime then accounts the M2L/downsweep
-    #: work on top of the near-field tile work.
-    dual: object | None = None
-    quad_far: int = 0
-    #: Flat-evaluation stats (zero for the tile kernels).  Remote halo
-    #: tiles are one-sided by construction — the mirror pair lives on
-    #: the other rank — so n3l is disabled and only the launch count is
-    #: ever non-zero here.
-    flat_launches: int = 0
-    near_pairs_naive: int = 0
-    near_pairs_evaluated: int = 0
-
-
 def remote_accelerations(
     view: TreeView,
     groups: BodyGroups,
@@ -164,14 +144,19 @@ def remote_accelerations(
     traversal: str = "grouped",
     cc_mac: float = 1.5,
     expansion_order: int = 2,
-) -> tuple[np.ndarray, RemoteEvalStats]:
+) -> tuple[np.ndarray, InteractionLists | DualLists, dict]:
     """Force of one source rank's tree on a destination's body groups.
 
     *groups* / *x_sorted* are the destination rank's Hilbert-contiguous
     groups and sorted positions (``group_size = 1`` reproduces the
-    per-body MAC of the lockstep kernels).  Bucket leaves of the source
-    tree (octree duplicate-cell chains) are expanded exactly through
-    *exact_bodies* against the source arrays.
+    per-body MAC of the lockstep kernels).  The force driver's core
+    builds and evaluates the lists; the caller charges the returned
+    lists and stats with :func:`~repro.traversal.driver.account_force`.
+    Bucket leaves of the source tree (octree duplicate-cell chains) are
+    expanded exactly through *exact_bodies* against the source arrays,
+    and their pairs are added to the stats.  Remote tiles are one-sided
+    by construction — the mirror pair lives on the other rank — so flat
+    evaluation runs without n3l dedup.
 
     ``traversal="dual"`` runs the cell-cell walk against the source
     tree instead.  This stays inside the one-sided LET halo: the dual
@@ -180,42 +165,19 @@ def remote_accelerations(
     failing the easier domain-level criterion is exactly what put the
     node's children into the LET in the first place.
     """
-    dual = None
-    quad_far = 0
-    if traversal == "dual":
-        # Deferred import: repro.traversal.dual pulls in the BVH
-        # package, which this module must not load at import time.
-        from repro.traversal.dual import (
-            build_dual_lists,
-            build_target_tree,
-            evaluate_dual,
-        )
-
-        tt = build_target_tree(groups)
-        dual = build_dual_lists(view, tt, theta, cc_mac=cc_mac)
-        lists = dual.near
-        acc, stats = evaluate_dual(
-            view, dual, groups, x_sorted,
-            G=G, eps2=eps2, mode=eval_mode,
-            body_ids=np.full(x_sorted.shape[0], _FOREIGN_BODY_ID,
-                             dtype=INDEX),
-            expansion_order=expansion_order,
-        )
-        quad_far = stats["quad_far"]
-    else:
-        lists = build_interaction_lists(view, groups, theta)
-        acc, stats = evaluate_interaction_lists(
-            view, lists, groups, x_sorted,
-            G=G, eps2=eps2, mode=eval_mode,
-            body_ids=np.full(x_sorted.shape[0], _FOREIGN_BODY_ID,
-                             dtype=INDEX),
-        )
-    pairs = stats["pairs"]
-    if lists.exact_groups.size:
+    lists = build_lists(view, groups, theta, traversal=traversal,
+                        cc_mac=cc_mac)
+    acc, stats, _ = evaluate_lists(
+        view, lists, groups, x_sorted, None, cached={}, G=G, eps2=eps2,
+        eval_mode=eval_mode, expansion_order=expansion_order,
+        body_ids=np.full(x_sorted.shape[0], _FOREIGN_BODY_ID, dtype=INDEX),
+    )
+    near = near_lists(lists)
+    if near.exact_groups.size:
         if exact_bodies is None or x_src is None or m_src is None:
             raise ValueError("source tree has bucket leaves; need exact_bodies")
         go = groups.offsets
-        for g, node in zip(lists.exact_groups, lists.exact_nodes):
+        for g, node in zip(near.exact_groups, near.exact_nodes):
             bodies = exact_bodies(int(node))
             if not bodies:
                 continue
@@ -227,13 +189,8 @@ def remote_accelerations(
             with np.errstate(divide="ignore"):
                 w = np.where(r2 > 0.0, G * mb * r2 ** -1.5, 0.0)
             acc[rows] += np.einsum("ij,ijk->ik", w, d)
-            pairs += w.size
-    return acc, RemoteEvalStats(
-        lists, pairs, stats["quad_terms"], dual=dual, quad_far=quad_far,
-        flat_launches=stats.get("flat_launches", 0),
-        near_pairs_naive=stats.get("near_pairs_naive", 0),
-        near_pairs_evaluated=stats.get("near_pairs_evaluated", 0),
-    )
+            stats["pairs"] += w.size
+    return acc, lists, stats
 
 
 def halo_point_accelerations(

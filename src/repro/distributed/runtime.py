@@ -46,8 +46,11 @@ from repro.machine.costmodel import CostModel
 from repro.machine.counters import StepCounters
 from repro.maintenance.disorder import coarsen_keys, key_disorder, sense_bits
 from repro.stdpar.context import ExecutionContext
-from repro.traversal.dual import account_dual_force
-from repro.traversal.engine import account_grouped_force
+from repro.traversal.driver import (
+    account_force,
+    config_settings,
+    tree_accelerations,
+)
 from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
@@ -249,7 +252,7 @@ class DistributedRuntime:
                     for s in range(K):
                         if s == d or counts[s] == 0:
                             continue
-                        acc_c, st = remote_accelerations(
+                        acc_c, lists_c, st = remote_accelerations(
                             views[s], groups_d, xr[d], cfg.theta,
                             G=cfg.gravity.G, eps2=cfg.gravity.eps2,
                             eval_mode=cfg.eval_mode,
@@ -260,35 +263,13 @@ class DistributedRuntime:
                             expansion_order=cfg.expansion_order,
                         )
                         acc_d += acc_c
-                        fpv = 8.0 if cfg.algorithm == "octree" else 10.0
-                        if st.dual is not None:
-                            account_dual_force(
-                                rc.counters, st.dual, groups_d,
-                                n_bodies=int(counts[d]), dim=dim,
-                                simt_width=cfg.simt_width,
-                                pairs=st.pairs, quad_terms=st.quad_terms,
-                                quad_far=st.quad_far,
-                                expansion_order=cfg.expansion_order,
-                                visit_bytes=views[s].visit_bytes,
-                                built=True, flops_per_visit=fpv,
-                                launches=remote_launches,
-                                flat_launches=st.flat_launches,
-                                near_pairs_naive=st.near_pairs_naive,
-                                near_pairs_evaluated=st.near_pairs_evaluated,
-                            )
-                        else:
-                            account_grouped_force(
-                                rc.counters, st.lists, groups_d,
-                                n_bodies=int(counts[d]), dim=dim,
-                                simt_width=cfg.simt_width,
-                                pairs=st.pairs, quad_terms=st.quad_terms,
-                                visit_bytes=views[s].visit_bytes, built=True,
-                                flops_per_visit=fpv,
-                                launches=remote_launches,
-                                flat_launches=st.flat_launches,
-                                near_pairs_naive=st.near_pairs_naive,
-                                near_pairs_evaluated=st.near_pairs_evaluated,
-                            )
+                        account_force(
+                            rc.counters, lists_c, groups_d, st, views[s],
+                            n_bodies=int(counts[d]),
+                            simt_width=cfg.simt_width, built=True,
+                            expansion_order=cfg.expansion_order,
+                            launches=remote_launches,
+                        )
                         remote_launches = 0.0
                     acc[members[d]] = acc_d
 
@@ -420,11 +401,7 @@ class DistributedRuntime:
     def _build_octrees(self, xr, mr):
         from repro.octree.build_concurrent import build_octree_concurrent
         from repro.octree.build_vectorized import build_octree_vectorized
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_grouped,
-            octree_tree_view,
-        )
+        from repro.octree.force import octree_tree_view
         from repro.octree.multipoles import (
             compute_multipoles_concurrent,
             compute_multipoles_vectorized,
@@ -465,41 +442,31 @@ class DistributedRuntime:
                             pools[r], xr[r], mr[r], rc, order=cfg.multipole_order)
                 views[r] = octree_tree_view(pools[r])
         self._last_trees = pools
-        return (views, *self._octree_closures(pools, xr, mr))
+        return (views, *self._closures(pools, xr, mr))
 
-    def _octree_closures(self, pools, xr, mr):
-        from repro.octree.force import (
-            octree_accelerations,
-            octree_accelerations_dual,
-            octree_accelerations_grouped,
-        )
+    def _closures(self, trees, xr, mr):
+        """Per-rank local force and bucket-leaf lookup over *trees*."""
+        from repro.bvh.force import bvh_accelerations, bvh_driver_args
+        from repro.octree.force import octree_accelerations, octree_driver_args
 
         cfg = self.config
+        octree = cfg.algorithm == "octree"
 
         def local_force(r: int) -> np.ndarray:
             rc = self.rank_ctx[r]
-            if cfg.traversal == "dual":
-                return octree_accelerations_dual(
-                    pools[r], xr[r], mr[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    cc_mac=cfg.cc_mac, expansion_order=cfg.expansion_order,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            if cfg.traversal == "grouped":
-                return octree_accelerations_grouped(
-                    pools[r], xr[r], mr[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            return octree_accelerations(
-                pools[r], xr[r], mr[r], cfg.gravity,
-                theta=cfg.theta, ctx=rc, simt_width=cfg.simt_width,
-            )
+            kw = dict(theta=cfg.theta, ctx=rc, simt_width=cfg.simt_width)
+            if cfg.traversal == "lockstep" and octree:
+                return octree_accelerations(trees[r], xr[r], mr[r],
+                                            cfg.gravity, **kw)
+            if cfg.traversal == "lockstep":
+                return bvh_accelerations(trees[r], cfg.gravity, **kw)
+            args = (octree_driver_args(trees[r], xr[r], mr[r]) if octree
+                    else bvh_driver_args(trees[r]))
+            return tree_accelerations(**args, **config_settings(cfg), ctx=rc)
 
         def exact(s: int):
-            return pools[s].leaf_bodies
+            # BVH leaves are single bodies; only octrees have buckets.
+            return trees[s].leaf_bodies if octree else None
 
         return local_force, exact
 
@@ -532,15 +499,11 @@ class DistributedRuntime:
                         compute_multipoles_vectorized(
                             pools[r], xr[r], mr[r], rc, order=cfg.multipole_order)
                 views[r] = octree_tree_view(pools[r])
-        return (views, *self._octree_closures(pools, xr, mr))
+        return (views, *self._closures(pools, xr, mr))
 
     def _build_bvhs(self, xr, mr, keys_r=None):
         from repro.bvh.build import assemble_bvh, hilbert_sort_permutation
-        from repro.bvh.force import (
-            bvh_accelerations,
-            bvh_accelerations_grouped,
-            bvh_tree_view,
-        )
+        from repro.bvh.force import bvh_tree_view
 
         cfg = self.config
         bvhs = [None] * self.n_ranks
@@ -570,43 +533,7 @@ class DistributedRuntime:
                         xr[r], mr[r], perm, box, ctx=rc, order=cfg.multipole_order)
                 views[r] = bvh_tree_view(bvhs[r])
         self._last_trees = bvhs
-        return (views, *self._bvh_closures(bvhs, xr, mr))
-
-    def _bvh_closures(self, bvhs, xr, mr):
-        from repro.bvh.force import (
-            bvh_accelerations,
-            bvh_accelerations_dual,
-            bvh_accelerations_grouped,
-        )
-
-        cfg = self.config
-
-        def local_force(r: int) -> np.ndarray:
-            rc = self.rank_ctx[r]
-            if cfg.traversal == "dual":
-                return bvh_accelerations_dual(
-                    bvhs[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    cc_mac=cfg.cc_mac, expansion_order=cfg.expansion_order,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            if cfg.traversal == "grouped":
-                return bvh_accelerations_grouped(
-                    bvhs[r], cfg.gravity,
-                    theta=cfg.theta, group_size=cfg.group_size,
-                    ctx=rc, simt_width=cfg.simt_width,
-                    eval_mode=cfg.eval_mode,
-                )
-            return bvh_accelerations(
-                bvhs[r], cfg.gravity,
-                theta=cfg.theta, ctx=rc, simt_width=cfg.simt_width,
-            )
-
-        def exact(s: int):
-            return None  # BVH leaves are single bodies; no buckets
-
-        return local_force, exact
+        return (views, *self._closures(bvhs, xr, mr))
 
     def _refit_bvhs(self, xr, mr):
         """Refit step: fused level-sweep AABB/multipole refresh per rank."""
@@ -625,7 +552,7 @@ class DistributedRuntime:
                     new[r] = refit_bvh(bvhs[r], xr[r], ctx=rc)
                 views[r] = bvh_tree_view(new[r])
         self._epoch["trees"] = new
-        return (views, *self._bvh_closures(new, xr, mr))
+        return (views, *self._closures(new, xr, mr))
 
     def _refit_trees(self, xr, mr):
         if self.config.algorithm == "octree":

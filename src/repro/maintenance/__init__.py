@@ -11,8 +11,9 @@ Hilbert ordering is still (nearly) valid:
   the encode between the BVH sort and the distributed partitioner;
 * :mod:`disorder` — vectorized measures of how far the body sequence
   has fallen out of curve order;
-* :mod:`drift` — per-node / per-group maximum body displacement, and
-  the drift-bounded validity gate for cached interaction lists;
+* :mod:`drift` — per-node maximum body displacement (the per-group
+  maximum and the drift-bounded validity gate for cached interaction
+  lists live in :mod:`repro.traversal`, next to the lists);
 * :mod:`policy` — the rebuild-vs-refit decision (fixed threshold or
   cost-model-driven ``"auto"``);
 * :mod:`maintainer` — the per-simulation orchestrator wired into the
@@ -28,13 +29,13 @@ from repro.maintenance.disorder import (
 from repro.maintenance.drift import (
     bvh_node_drift,
     displacement,
-    group_drift,
     octree_node_drift,
 )
 from repro.maintenance.keycache import KeyCache
 from repro.maintenance.maintainer import TreeMaintainer
 from repro.maintenance.policy import Decision, MaintenancePolicy
 from repro.traversal.engine import lists_valid
+from repro.traversal.groups import group_drift
 
 __all__ = [
     "DisorderStats",

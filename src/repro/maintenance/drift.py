@@ -24,14 +24,16 @@ drift, which against the MAC threshold costs ``2 / theta``
 positions the list was *built* at — not the epoch start — so a body
 that wanders off and returns does not poison the gate.  The gate itself
 is :func:`repro.traversal.engine.lists_valid`, next to the lists it
-checks, so the traversal package never imports this one.
+checks, and the per-group maximum
+(:func:`repro.traversal.groups.group_drift`) lives with the body
+groups, so the traversal package never imports this one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bvh.layout import BVHLayout
+from repro.geometry.heap import BVHLayout
 from repro.octree.layout import _BODY_BASE, OctreePool
 from repro.types import FLOAT
 
@@ -85,20 +87,3 @@ def octree_node_drift(pool: OctreePool, disp: np.ndarray) -> np.ndarray:
                 ch = pool.child[level][:, None] + lane
                 nd[level] = np.maximum(nd[level], nd[ch].max(axis=1))
     return nd
-
-
-def group_drift(offsets: np.ndarray, disp_rows: np.ndarray) -> np.ndarray:
-    """Max displacement per group (CSR offsets over group-row order)."""
-    starts = offsets[:-1]
-    ng = starts.shape[0]
-    out = np.zeros(ng, dtype=FLOAT)
-    if disp_rows.shape[0] == 0 or ng == 0:
-        return out
-    nonempty = offsets[1:] > starts
-    if nonempty.any():
-        # reduceat yields garbage for empty segments; mask them out.
-        red = np.maximum.reduceat(
-            disp_rows, np.minimum(starts, disp_rows.shape[0] - 1)
-        )
-        out[nonempty] = red[nonempty]
-    return out

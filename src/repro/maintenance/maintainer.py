@@ -37,12 +37,11 @@ from repro.maintenance.disorder import coarsen_keys, key_disorder, sense_bits
 from repro.maintenance.drift import (
     bvh_node_drift,
     displacement,
-    group_drift,
     octree_node_drift,
 )
 from repro.maintenance.keycache import KeyCache
 from repro.maintenance.policy import Decision, MaintenancePolicy
-from repro.traversal.engine import lists_valid
+from repro.traversal.driver import cached_lists_valid, list_keys
 from repro.types import FLOAT
 
 #: Steps whose modeled times the auto policy learns from.
@@ -78,8 +77,9 @@ class TreeMaintainer:
             config.tree_update, config.refit_disorder_threshold
         )
         self._model = CostModel(ctx.device, toolchain=ctx.toolchain)
-        #: Structure-cache entry dict handed to the grouped force kernels
-        #: (they store interaction lists in it under the ``ilists`` key).
+        #: Structure-cache entry dict handed to the force driver (it
+        #: stores the interaction lists in it; see
+        #: :mod:`repro.traversal.driver`).
         self.entry: dict = {}
         #: Maintenance event counts, exposed through ``--profile``.
         self.counts = {"rebuild": 0, "refit": 0, "lists_dropped": 0}
@@ -96,7 +96,7 @@ class TreeMaintainer:
         self._x_prev: np.ndarray | None = None
         self._step_drift = 0.0
         self._budget_abs = 0.0
-        self._list_state: dict = {}  # ilists key -> (lists, x snapshot)
+        self._list_state: dict = {}  # list key -> (lists, x snapshot)
         self._snap: dict | None = None
         self._last_action: str | None = None
 
@@ -203,10 +203,8 @@ class TreeMaintainer:
     # ------------------------------------------------------------------
     def finish_step(self, x: np.ndarray) -> None:
         """Post-force bookkeeping: list snapshots + policy feedback."""
-        for key, cached in self.entry.items():
-            if not (isinstance(key, tuple) and key
-                    and key[0] in ("ilists", "dlists")):
-                continue
+        for key in list_keys(self.entry):
+            cached = self.entry[key]
             state = self._list_state.get(key)
             if state is None or state[0] is not cached["lists"]:
                 self._list_state[key] = (
@@ -279,43 +277,30 @@ class TreeMaintainer:
         """Drop cached lists whose drift-bounded validity gate fails."""
         theta = self.config.theta
         n, dim = x.shape
-        for key in [k for k in self.entry
-                    if isinstance(k, tuple) and k
-                    and k[0] in ("ilists", "dlists")]:
+        for key in list_keys(self.entry):
             cached = self.entry[key]
             state = self._list_state.get(key)
             if state is None or state[0] is not cached["lists"]:
                 ok = False  # untracked list: cannot prove anything
             else:
                 disp = displacement(x, state[1])
+                order = None
                 if kind == "bvh":
-                    rows = disp[self._bvh.perm]
-                    node_drift = bvh_node_drift(self._bvh.layout, rows)
+                    order = self._bvh.perm
+                    node_drift = bvh_node_drift(self._bvh.layout, disp[order])
                     # Refit refreshes BVH boxes, so an accepted node's
                     # longest side can grow by up to twice its drift.
                     size_factor = 2.0 / theta if theta > 0.0 else np.inf
                 else:
-                    rows = disp[cached["perm"]]
                     node_drift = octree_node_drift(self._pool, disp)
                     size_factor = 0.0  # octree cell sizes never change
-                grp = group_drift(cached["groups"].offsets, rows)
-                nf = 0
-                with np.errstate(invalid="ignore"):
-                    if key[0] == "dlists":
-                        from repro.traversal.dual import dual_lists_valid
-
-                        ok = dual_lists_valid(cached["dual"], grp,
-                                              node_drift,
-                                              size_factor=size_factor)
-                        nf = cached["dual"].n_far
-                    else:
-                        ok = lists_valid(cached["lists"], grp, node_drift,
-                                         size_factor=size_factor)
+                ok, checked = cached_lists_valid(
+                    cached, disp, node_drift, size_factor=size_factor,
+                    order=order)
                 nn = node_drift.shape[0]
-                ne = cached["lists"].nodes.shape[0]
                 self.ctx.counters.add(
-                    flops=(3.0 * dim + 1.0) * n + 2.0 * nn + 3.0 * (ne + nf),
-                    bytes_read=8.0 * (n * dim + nn + 2.0 * (ne + nf)),
+                    flops=(3.0 * dim + 1.0) * n + 2.0 * nn + 3.0 * checked,
+                    bytes_read=8.0 * (n * dim + nn + 2.0 * checked),
                     bytes_written=8.0 * nn,
                     loop_iterations=float(nn),
                     kernel_launches=2.0,

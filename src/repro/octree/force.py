@@ -37,18 +37,17 @@ from repro.physics.multipole import (
     QUAD_EXTRA_FLOPS,
     quadrupole_accel,
 )
-from repro.traversal.engine import (
+from repro.traversal.driver import tree_accelerations
+# build_interaction_lists stays bound here: hostbench's probe test looks
+# it up on this module.
+from repro.traversal.engine import (  # noqa: F401
     KLASS_EXACT,
     KLASS_INTERNAL,
     KLASS_POINT,
     KLASS_SKIP,
     TreeView,
-    account_grouped_force,
     build_interaction_lists,
-    evaluate_interaction_lists,
 )
-from repro.traversal.flat import eval_precomputes
-from repro.traversal.groups import make_groups
 from repro.types import FLOAT, INDEX
 
 #: Bytes touched per node visit: child word (8) + centre of mass
@@ -306,210 +305,40 @@ def _octree_tree_view(pool: OctreePool) -> TreeView:
 octree_tree_view = _octree_tree_view
 
 
-def octree_accelerations_grouped(
-    pool: OctreePool,
-    x: np.ndarray,
-    m: np.ndarray,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
+def octree_driver_args(pool: OctreePool, x: np.ndarray, m: np.ndarray) -> dict:
+    """The force driver's tree arguments for *pool*: its view, the
+    bodies in caller order, their Hilbert order (computed only when the
+    lists are built) and the bucket-leaf bodies."""
+    _prepare(pool)
+    x = np.asarray(x, dtype=FLOAT)
+    return dict(view=octree_tree_view(pool), x=x, m=m,
+                order=lambda: _hilbert_body_order(x, pool.box),
+                exact_bodies=pool.leaf_bodies)
+
+
+def octree_accelerations_grouped(pool: OctreePool, x: np.ndarray,
+                                 m: np.ndarray,
+                                 params: GravityParams = GravityParams(),
+                                 **kw) -> np.ndarray:
     """Barnes-Hut accelerations via group-coherent traversal.
 
-    Bodies are Hilbert-sorted and partitioned into contiguous groups of
-    *group_size*; the stackless walk runs once per group with the
-    conservative group MAC and emits an interaction list, which is then
-    evaluated as dense ``group x node`` tiles.  *cache*, when given, is
-    the structure-cache entry dict: the lists (and the Hilbert
-    permutation) are stored in it and reused across timesteps for as
-    long as the tree structure itself is, then rebuilt with it.
-
-    At ``group_size=1`` (monopole order) the result is bit-identical to
+    Bodies are Hilbert-sorted and cut into contiguous groups; one
+    conservative-MAC walk per group emits an interaction list that is
+    evaluated as dense tiles.  *kw* are the keywords of
+    :func:`~repro.traversal.driver.tree_accelerations`.  At
+    ``group_size=1`` (monopole order) the result is bit-identical to
     :func:`octree_accelerations`.
     """
-    _prepare(pool)
-    x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
-    if n == 0 or pool.n_nodes == 0:
-        return np.zeros((n, dim), dtype=FLOAT)
-
-    key = ("ilists", float(theta), int(group_size))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["perm"].shape[0] != n
-    view = _octree_tree_view(pool)
-    if built:
-        perm = _hilbert_body_order(x, pool.box)
-        groups = make_groups(x[perm], group_size)
-        lists = build_interaction_lists(view, groups, theta,
-                                        mac_margin=mac_margin)
-        cached = {"perm": perm, "groups": groups, "lists": lists}
-        if cache is not None:
-            cache[key] = cached
-    perm = cached["perm"]
-    groups = cached["groups"]
-    lists = cached["lists"]
-
-    # Bucket-leaf bodies fold into the flat near-field pools, so the
-    # scalar exact loop below is skipped in that mode.
-    mode, flat, self_pairs = eval_precomputes(
-        eval_mode, cached, view, lists, groups, body_ids=perm,
-        exact_bodies=pool.leaf_bodies)
-
-    m_sorted = np.asarray(m, dtype=FLOAT)[perm]
-    acc_s, stats = evaluate_interaction_lists(
-        view, lists, groups, x[perm],
-        G=params.G, eps2=params.eps2, body_ids=perm, mode=mode,
-        flat=flat, m_sorted=m_sorted, self_pairs=self_pairs,
-    )
-
-    # Exact expansion of bucket leaves (same scalar math as lockstep).
-    pairs = stats["pairs"]
-    if not (flat is not None and flat.includes_exact):
-        eps2 = params.eps2
-        G = params.G
-        go = groups.offsets
-        for g, node in zip(lists.exact_groups, lists.exact_nodes):
-            bodies = pool.leaf_bodies(int(node))
-            for row in range(int(go[g]), int(go[g + 1])):
-                i = int(perm[row])
-                for b in bodies:
-                    if b == i:
-                        continue
-                    d = x[b] - x[i]
-                    r2b = float(d @ d) + eps2
-                    if r2b > 0.0:
-                        acc_s[row] += G * m[b] * r2b**-1.5 * d
-                        pairs += 1
-
-    if ctx is not None:
-        account_grouped_force(
-            ctx.counters, lists, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=pairs, quad_terms=stats["quad_terms"],
-            visit_bytes=view.visit_bytes, built=built,
-            sort_comparisons=float(n) * float(np.log2(max(n, 2))) if built else 0.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[perm] = acc_s
-    return out
+    return tree_accelerations(**octree_driver_args(pool, x, m),
+                              params=params, traversal="grouped", **kw)
 
 
-def octree_accelerations_dual(
-    pool: OctreePool,
-    x: np.ndarray,
-    m: np.ndarray,
-    params: GravityParams = GravityParams(),
-    *,
-    theta: float = 0.5,
-    group_size: int = 32,
-    cc_mac: float = 1.5,
-    expansion_order: int = 2,
-    ctx=None,
-    simt_width: int = 32,
-    cache: dict | None = None,
-    eval_mode: str = "auto",
-    mac_margin: float = 0.0,
-) -> np.ndarray:
-    """Barnes-Hut accelerations via the dual-tree cell-cell traversal.
-
-    Same Hilbert grouping as :func:`octree_accelerations_grouped`, but
-    groups are organized into a target tree and classified against the
-    octree by the simultaneous walk of :mod:`repro.traversal.dual`:
-    well-separated cell pairs are evaluated once via M2L and swept down
-    to bodies, the near field falls back to the grouped tile kernels
-    verbatim.  ``cc_mac=0`` disables the cell-cell branch and is
-    bit-identical to the grouped mode.
+def octree_accelerations_dual(pool: OctreePool, x: np.ndarray, m: np.ndarray,
+                              params: GravityParams = GravityParams(),
+                              **kw) -> np.ndarray:
+    """Barnes-Hut accelerations via the dual-tree cell-cell traversal
+    (:mod:`repro.traversal.dual`) over the same Hilbert groups.
+    ``cc_mac=0`` is bit-identical to the grouped mode.
     """
-    # Imported here, not at module top: repro.traversal.dual itself
-    # imports the BVH layout, whose package init re-enters this module.
-    from repro.traversal.dual import (
-        account_dual_force,
-        build_dual_lists,
-        build_target_tree,
-        evaluate_dual,
-    )
-
-    _prepare(pool)
-    x = np.asarray(x, dtype=FLOAT)
-    n, dim = x.shape
-    if n == 0 or pool.n_nodes == 0:
-        return np.zeros((n, dim), dtype=FLOAT)
-
-    key = ("dlists", float(theta), int(group_size), float(cc_mac),
-           int(expansion_order))
-    cached = cache.get(key) if cache is not None else None
-    built = cached is None or cached["perm"].shape[0] != n
-    view = _octree_tree_view(pool)
-    if built:
-        perm = _hilbert_body_order(x, pool.box)
-        groups = make_groups(x[perm], group_size)
-        tt = build_target_tree(groups)
-        dual = build_dual_lists(view, tt, theta, cc_mac=cc_mac,
-                                mac_margin=mac_margin)
-        # "lists" aliases the near side so the maintenance snapshot /
-        # drift gate sees the same shape as a grouped entry.
-        cached = {"perm": perm, "groups": groups, "dual": dual,
-                  "lists": dual.near}
-        if cache is not None:
-            cache[key] = cached
-    perm = cached["perm"]
-    groups = cached["groups"]
-    dual = cached["dual"]
-
-    mode, flat, self_pairs = eval_precomputes(
-        eval_mode, cached, view, dual.near, groups, body_ids=perm,
-        exact_bodies=pool.leaf_bodies)
-
-    m_sorted = np.asarray(m, dtype=FLOAT)[perm]
-    acc_s, stats = evaluate_dual(
-        view, dual, groups, x[perm],
-        G=params.G, eps2=params.eps2, body_ids=perm, mode=mode,
-        expansion_order=expansion_order, ctx=ctx,
-        flat=flat, m_sorted=m_sorted, self_pairs=self_pairs,
-    )
-
-    # Exact expansion of bucket leaves (same scalar math as grouped).
-    pairs = stats["pairs"]
-    if not (flat is not None and flat.includes_exact):
-        eps2 = params.eps2
-        G = params.G
-        go = groups.offsets
-        for g, node in zip(dual.near.exact_groups, dual.near.exact_nodes):
-            bodies = pool.leaf_bodies(int(node))
-            for row in range(int(go[g]), int(go[g + 1])):
-                i = int(perm[row])
-                for b in bodies:
-                    if b == i:
-                        continue
-                    d = x[b] - x[i]
-                    r2b = float(d @ d) + eps2
-                    if r2b > 0.0:
-                        acc_s[row] += G * m[b] * r2b**-1.5 * d
-                        pairs += 1
-
-    if ctx is not None:
-        account_dual_force(
-            ctx.counters, dual, groups,
-            n_bodies=n, dim=dim, simt_width=simt_width,
-            pairs=pairs, quad_terms=stats["quad_terms"],
-            quad_far=stats["quad_far"], expansion_order=expansion_order,
-            visit_bytes=view.visit_bytes, built=built,
-            sort_comparisons=float(n) * float(np.log2(max(n, 2))) if built else 0.0,
-            flat_launches=stats["flat_launches"],
-            near_pairs_naive=stats["near_pairs_naive"],
-            near_pairs_evaluated=stats["near_pairs_evaluated"],
-        )
-
-    out = np.empty_like(acc_s)
-    out[perm] = acc_s
-    return out
+    return tree_accelerations(**octree_driver_args(pool, x, m),
+                              params=params, traversal="dual", **kw)

@@ -16,11 +16,16 @@ both tree strategies (octree and Hilbert BVH):
 * :mod:`repro.traversal.flat` — the flattened-batch evaluator: lists
   expanded once per epoch into SoA index arrays, evaluated as a few
   large gather/scatter kernels with the symmetric near field deduped
-  Newton's-third-law style (the production host path);
+  Newton's-third-law style (opt-in; the gemm tile kernel is the
+  production host path);
 * :mod:`repro.traversal.dual` — the dual-tree cell-cell walk: a target
   tree over the groups, a symmetric MAC that retires well-separated
   cell pairs once via M2L into local expansions, and the L2L/L2P
-  downsweep that carries them to bodies.
+  downsweep that carries them to bodies;
+* :mod:`repro.traversal.driver` — the one grouped/dual force driver
+  both trees run through (cache lookup, list build, evaluation, bucket
+  expansion, accounting), and the only module that knows the
+  list-cache format.
 
 At ``group_size=1`` the group AABB degenerates to the body's position,
 the conservative MAC coincides with the per-body criterion, and the
@@ -46,11 +51,7 @@ from repro.traversal.flat import (
     build_flat_lists,
     evaluate_flat,
 )
-from repro.traversal.groups import BodyGroups, make_groups
-
-# Imported last: dual pulls in the BVH layout, whose package init needs
-# repro.traversal.engine to already be importable.
-from repro.traversal.dual import (  # noqa: E402
+from repro.traversal.dual import (
     DualLists,
     TargetTree,
     account_dual_force,
@@ -59,6 +60,8 @@ from repro.traversal.dual import (  # noqa: E402
     dual_lists_valid,
     evaluate_dual,
 )
+from repro.traversal.driver import tree_accelerations
+from repro.traversal.groups import BodyGroups, make_groups
 
 __all__ = [
     "BodyGroups",
@@ -84,4 +87,5 @@ __all__ = [
     "evaluate_flat",
     "evaluate_interaction_lists",
     "make_groups",
+    "tree_accelerations",
 ]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bvh.layout import BVHLayout, next_pow2
+from repro.geometry.heap import BVHLayout, next_pow2
 from repro.machine.counters import Counters
 from repro.physics.local_expansion import (
     LocalExpansion,

@@ -31,8 +31,8 @@ DFS walk's; each group's emissions are then sorted by the nodes'
 precomputed DFS-preorder rank, recovering the exact per-body DFS
 emission order the lockstep kernels accumulate in.
 
-**Evaluation** turns each group's list into a dense ``group x node``
-tile.  Two tile kernels are provided:
+**Evaluation** has three kernels.  Two turn each group's list into a
+dense ``group x node`` tile; the third flattens all lists at once:
 
 * ``tile`` — forms ``dvec = com - x`` explicitly and reduces the
   contributions sequentially along the (strided) list axis, which makes
@@ -129,8 +129,10 @@ class TreeView:
     #: the way the stackless per-body walk would emit them.
     dfs_rank: np.ndarray
     quad: np.ndarray | None = None   # (n_nodes, 3, 3) at multipole order 2
-    #: Bytes touched per node visit of the list-building walk.
+    #: Bytes touched and flops spent per node visit of the
+    #: list-building walk.
     visit_bytes: float = 50.0
+    flops_per_visit: float = 8.0
 
 
 @dataclass

@@ -67,3 +67,20 @@ def make_groups(x_sorted: np.ndarray, group_size: int) -> BodyGroups:
     lo = np.minimum.reduceat(x_sorted, starts, axis=0)
     hi = np.maximum.reduceat(x_sorted, starts, axis=0)
     return BodyGroups(offsets, lo, hi)
+
+
+def group_drift(offsets: np.ndarray, disp_rows: np.ndarray) -> np.ndarray:
+    """Max displacement per group (CSR offsets over group-row order)."""
+    starts = offsets[:-1]
+    ng = starts.shape[0]
+    out = np.zeros(ng, dtype=FLOAT)
+    if disp_rows.shape[0] == 0 or ng == 0:
+        return out
+    nonempty = offsets[1:] > starts
+    if nonempty.any():
+        # reduceat yields garbage for empty segments; mask them out.
+        red = np.maximum.reduceat(
+            disp_rows, np.minimum(starts, disp_rows.shape[0] - 1)
+        )
+        out[nonempty] = red[nonempty]
+    return out

@@ -64,6 +64,10 @@ class TestTreeReuseMidEpoch:
              traversal="grouped", group_size=16),
         dict(algorithm="bvh", tree_reuse_steps=3,
              traversal="dual", group_size=16),
+        dict(algorithm="octree-2stage", tree_reuse_steps=4,
+             traversal="grouped", group_size=16),
+        dict(algorithm="octree-2stage", tree_reuse_steps=3,
+             traversal="dual", group_size=16),
     ])
     def test_bit_exact(self, tmp_path, cfg_kw):
         ref, resumed = self._run(tmp_path, cfg_kw)
@@ -117,6 +121,10 @@ class TestRefitMidEpoch:
         dict(algorithm="bvh", tree_update="refit",
              traversal="dual", group_size=16),
         dict(algorithm="octree", tree_update="refit",
+             traversal="dual", group_size=16),
+        dict(algorithm="octree-2stage", tree_update="refit",
+             traversal="grouped", group_size=16),
+        dict(algorithm="octree-2stage", tree_update="refit",
              traversal="dual", group_size=16),
     ])
     def test_bit_exact(self, tmp_path, cfg_kw):
